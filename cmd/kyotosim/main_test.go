@@ -557,3 +557,40 @@ func TestSignatureSweepComposition(t *testing.T) {
 		t.Fatal("envelopes from a differently tuned detector merged silently")
 	}
 }
+
+// TestPiscesScenarioRejectsBadPins runs each Pisces pinning error through
+// a scenario file: the enclave scheduler's refusal must come back as a
+// clean error naming the problem, never a panic.
+func TestPiscesScenarioRejectsBadPins(t *testing.T) {
+	cases := map[string]struct{ vms, want string }{
+		"unpinned": {
+			vms:  `{"name": "a", "app": "gcc"}`,
+			want: "must be pinned",
+		},
+		"core owned by another VM": {
+			vms:  `{"name": "a", "app": "gcc", "pins": [0]}, {"name": "b", "app": "lbm", "pins": [0]}`,
+			want: "already owned by a vCPU 0",
+		},
+		"two vCPUs of one VM on one core": {
+			vms:  `{"name": "a", "app": "gcc", "vcpus": 2, "pins": [1, 1]}`,
+			want: "core 1 of a vCPU 1 already owned by a vCPU 0",
+		},
+	}
+	for name, c := range cases {
+		// KS4Pisces wraps the enclave scheduler in the Kyoto decorator;
+		// the refusal must reach through it.
+		for _, kyoto := range []string{"false", "true"} {
+			t.Run(name+"/kyoto="+kyoto, func(t *testing.T) {
+				body := `{"scheduler": "pisces", "kyoto": ` + kyoto + `, "ticks": 4, "vms": [` + c.vms + `]}`
+				path := filepath.Join(t.TempDir(), "s.json")
+				if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+					t.Fatal(err)
+				}
+				err := run([]string{"-scenario", path}, &strings.Builder{})
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("error %v, want one containing %q", err, c.want)
+				}
+			})
+		}
+	}
+}

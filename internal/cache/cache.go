@@ -606,8 +606,13 @@ func (c *Cache) Flush() {
 }
 
 // FlushOwner invalidates every line belonging to owner, modelling the cache
-// footprint loss a vCPU suffers when migrated to another socket.
+// footprint loss a vCPU suffers when migrated to another socket. An owner
+// holding no lines returns without scanning: occupancy counts exactly the
+// valid lines each owner holds.
 func (c *Cache) FlushOwner(owner Owner) {
+	if int(owner) >= len(c.occupancy) || c.occupancy[owner] == 0 {
+		return
+	}
 	removed := 0
 	for set := range c.valid {
 		vmask := c.valid[set]
@@ -624,10 +629,7 @@ func (c *Cache) FlushOwner(owner Owner) {
 			}
 		}
 	}
-	if removed > 0 {
-		// owner filled the removed lines, so its occupancy slot exists.
-		c.occupancy[owner] -= removed
-	}
+	c.occupancy[owner] -= removed
 }
 
 // ReleaseOwner invalidates every line belonging to owner (FlushOwner) and

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -648,4 +649,45 @@ func BenchmarkCacheAccess(b *testing.B) {
 			p.Access(addr, 1, false)
 		}
 	})
+}
+
+// TestReleaseOwnerHoldingNoLines covers FlushOwner's early return: an
+// owner whose lines were all evicted (or that never filled one, or whose
+// tag is past the tracked range) is flushed without touching any line,
+// yet ReleaseOwner still zeroes its stats row and partition entry.
+func TestReleaseOwnerHoldingNoLines(t *testing.T) {
+	c, err := New(Config{
+		Name: "T", SizeBytes: 512, Ways: 2, LineBytes: 64,
+		Policy: PartitionedLRU, HitLatencyCycles: 4, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetPartition(1, 0b01); err != nil {
+		t.Fatal(err)
+	}
+	c.Access(0, 1)
+	// Owner 2 fills both ways of set 0, evicting owner 1's only line.
+	c.Access(256, 2)
+	c.Access(512, 2)
+	c.Access(768, 2)
+	if c.Occupancy(1) != 0 || c.Stats(1).Accesses == 0 {
+		t.Fatalf("setup: owner 1 occupancy %d, stats %+v", c.Occupancy(1), c.Stats(1))
+	}
+	before := c.CaptureState()
+	c.FlushOwner(1)
+	c.FlushOwner(5000) // never seen: past the dense per-owner slices
+	if !reflect.DeepEqual(before, c.CaptureState()) {
+		t.Fatal("FlushOwner of owners holding no lines changed the cache")
+	}
+	c.ReleaseOwner(1)
+	if c.Stats(1) != (OwnerStats{}) {
+		t.Errorf("ReleaseOwner left stats: %+v", c.Stats(1))
+	}
+	if p := c.CaptureState().Partition; len(p) != 0 {
+		t.Errorf("ReleaseOwner left partition entries %+v", p)
+	}
+	if c.Occupancy(2) != 2 {
+		t.Errorf("owner 2 occupancy disturbed: %d", c.Occupancy(2))
+	}
 }

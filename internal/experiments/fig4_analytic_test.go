@@ -47,3 +47,24 @@ func TestFig4AnalyticSweep(t *testing.T) {
 		t.Fatal("analytic config digest equals the exact-tier digest — mixed-fidelity shards would merge")
 	}
 }
+
+// TestFig4ReseedKeepsFidelity pins that a seed sweep over Figure 4 stays
+// on the tier it was asked for: a reseeded analytic sweeper carries the
+// analytic config digest, and a reseeded exact sweeper's digest is the
+// plain seed digest that predates the fidelity knob.
+func TestFig4ReseedKeepsFidelity(t *testing.T) {
+	digest := func(fid cache.Fidelity) string {
+		re, err := NewFig4SweeperFidelity(1, fid).Reseed(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return re.(*Fig4Sweeper).ConfigFingerprint()
+	}
+	exact, analytic := digest(cache.FidelityExact), digest(cache.FidelityAnalytic)
+	if want := sweep.FingerprintPayload([]byte(`{"seed":9}`)); exact != want {
+		t.Fatalf("reseeded exact digest %s, want %s", exact, want)
+	}
+	if want := NewFig4SweeperFidelity(9, cache.FidelityAnalytic).ConfigFingerprint(); analytic != want || analytic == exact {
+		t.Fatalf("reseeded analytic digest %s, want %s (exact is %s)", analytic, want, exact)
+	}
+}

@@ -142,7 +142,7 @@ func percentileOrZero(xs []float64, p float64) float64 {
 
 // Reseed implements sweep.Seedable for the Figure 4 indicator study.
 func (s *Fig4Sweeper) Reseed(seed uint64) (sweep.Seedable, error) {
-	return NewFig4Sweeper(seed), nil
+	return NewFig4SweeperFidelity(seed, s.fid), nil
 }
 
 // MetricNames implements sweep.Seedable.

@@ -303,8 +303,24 @@ func schedIdleInvariant(s sched.Scheduler) bool {
 	return true
 }
 
+// schedAdmit runs sched.Admitter over s and, for decorators, its whole
+// base chain, refusing vcpus as soon as one policy does.
+func schedAdmit(s sched.Scheduler, vcpus []*vm.VCPU) error {
+	if a, ok := s.(sched.Admitter); ok {
+		if err := a.Admit(vcpus); err != nil {
+			return err
+		}
+	}
+	if d, ok := s.(interface{ Base() sched.Scheduler }); ok {
+		return schedAdmit(d.Base(), vcpus)
+	}
+	return nil
+}
+
 // AddVM instantiates spec: resolves the workload profile, creates the
-// vCPUs, and registers them with the scheduler.
+// vCPUs, and registers them with the scheduler. A scheduler implementing
+// sched.Admitter (Pisces) may refuse the vCPUs; the refusal is returned
+// as an error, like every other failure, before any state changes.
 func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -393,6 +409,9 @@ func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
 			v.ACtx = actx
 		}
 		domain.VCPUs = append(domain.VCPUs, v)
+	}
+	if err := schedAdmit(w.sch, domain.VCPUs); err != nil {
+		return nil, fmt.Errorf("hv: VM %q: %w", spec.Name, err)
 	}
 	w.vmSeq++
 	w.freeOwners = w.freeOwners[:len(w.freeOwners)-recycled]

@@ -267,3 +267,42 @@ func TestCyclesPerTickOverride(t *testing.T) {
 		t.Fatalf("wall = %d with 300k tick", wall)
 	}
 }
+
+// TestAddVMPiscesRefusalIsAtomic checks that the enclave scheduler's
+// refusals surface from AddVM as errors that commit nothing: after a
+// refused VM, the next admitted VM gets exactly the IDs it would have had
+// on a world that never saw the refused one.
+func TestAddVMPiscesRefusalIsAtomic(t *testing.T) {
+	w, err := New(Config{Machine: machine.TableOne(1), Seed: 1}, sched.NewPisces())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AddVM(vm.Spec{Name: "a", App: "gcc", Pins: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	refused := []vm.Spec{
+		{Name: "unpinned", App: "gcc"},
+		{Name: "taken", App: "lbm", Pins: []int{0}},
+		{Name: "twice", App: "lbm", VCPUs: 2, Pins: []int{1, 1}},
+		{Name: "half", App: "lbm", VCPUs: 2, Pins: []int{1}},
+	}
+	for _, spec := range refused {
+		if _, err := w.AddVM(spec); err == nil {
+			t.Fatalf("%s: pisces admitted a bad pinning", spec.Name)
+		}
+		if w.FindVM(spec.Name) != nil {
+			t.Fatalf("%s: refused VM left in the world", spec.Name)
+		}
+	}
+	b, err := w.AddVM(vm.Spec{Name: "b", App: "lbm", Pins: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.ID != 2 || b.VCPUs[0].ID != 2 || b.VCPUs[0].Seq != 2 {
+		t.Fatalf("admitted VM got ID %d, vCPU ID %d, seq %d; want 2, 2, 2", b.ID, b.VCPUs[0].ID, b.VCPUs[0].Seq)
+	}
+	w.RunTicks(2)
+	if w.FindVM("a").VCPUs[0].Counters.Instructions == 0 || b.VCPUs[0].Counters.Instructions == 0 {
+		t.Fatal("admitted enclaves did not run")
+	}
+}

@@ -367,6 +367,9 @@ func (w *World) restoreVM(vs *VMState) error {
 		}
 		domain.VCPUs = append(domain.VCPUs, v)
 	}
+	if err := schedAdmit(w.sch, domain.VCPUs); err != nil {
+		return fmt.Errorf("hv: restore VM %q: %w", spec.Name, err)
+	}
 	for _, v := range domain.VCPUs {
 		w.vcpus = append(w.vcpus, v)
 		w.sch.Register(v)

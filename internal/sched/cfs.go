@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+
 	"kyoto/internal/machine"
 	"kyoto/internal/vm"
 )
@@ -102,6 +104,7 @@ type Pisces struct {
 
 var _ Scheduler = (*Pisces)(nil)
 var _ Remover = (*Pisces)(nil)
+var _ Admitter = (*Pisces)(nil)
 
 // NewPisces returns a Pisces-style scheduler.
 func NewPisces() *Pisces {
@@ -111,15 +114,34 @@ func NewPisces() *Pisces {
 // Name implements Scheduler.
 func (p *Pisces) Name() string { return "pisces" }
 
-// Register implements Scheduler. Pisces enclaves must be pinned; an
-// unpinned or conflicting vCPU is rejected by panicking early, since this
-// is a static misconfiguration of the experiment, not a runtime condition.
-func (p *Pisces) Register(v *vm.VCPU) {
-	if v.Pin == vm.NoPin {
-		panic("sched: pisces enclave vCPU must be pinned to a core")
+// Admit implements Admitter: every enclave vCPU must be pinned, and to a
+// core that neither a registered enclave nor another vCPU of the batch
+// (two vCPUs of one VM pinned alike) already owns.
+func (p *Pisces) Admit(vcpus []*vm.VCPU) error {
+	for i, v := range vcpus {
+		if v.Pin == vm.NoPin {
+			return fmt.Errorf("sched: pisces enclave %s vCPU %d must be pinned to a core", v.VM.Name, v.Index)
+		}
+		owner, busy := p.byCore[v.Pin]
+		for _, prev := range vcpus[:i] {
+			if prev.Pin == v.Pin {
+				owner, busy = prev, true
+			}
+		}
+		if busy {
+			return fmt.Errorf("sched: pisces core %d of %s vCPU %d already owned by %s vCPU %d",
+				v.Pin, v.VM.Name, v.Index, owner.VM.Name, owner.Index)
+		}
 	}
-	if _, busy := p.byCore[v.Pin]; busy {
-		panic("sched: pisces core already owned by another enclave")
+	return nil
+}
+
+// Register implements Scheduler. hv admits every vCPU through Admit
+// first, so a vCPU Admit would refuse reaching Register is a caller bug,
+// and it panics.
+func (p *Pisces) Register(v *vm.VCPU) {
+	if err := p.Admit([]*vm.VCPU{v}); err != nil {
+		panic(err)
 	}
 	p.byCore[v.Pin] = v
 }

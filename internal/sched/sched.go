@@ -47,6 +47,17 @@ type Remover interface {
 	Unregister(v *vm.VCPU)
 }
 
+// Admitter is optionally implemented by schedulers that refuse some
+// vCPUs outright (Pisces needs every enclave pinned to a core of its
+// own). internal/hv.World.AddVM passes all of a new VM's vCPUs to Admit
+// before registering any of them, so a refused VM surfaces as a clean
+// error and leaves the world and the scheduler untouched. Admit must not
+// mutate the scheduler. A decorator need not implement it: hv consults
+// the base chain through the Base accessor.
+type Admitter interface {
+	Admit(vcpus []*vm.VCPU) error
+}
+
 // IdleTickInvariant marks a scheduler (or hv tick hook) whose per-tick
 // work is provably the identity on a world that holds no VMs: with an
 // empty runqueue, PickNext returns nil without mutating anything and

@@ -1,13 +1,14 @@
 package workload
 
 // Generator checkpoint support. A generator built by New is a pure
-// function of (profile, seed, cursor): the phase chains are derived from
-// the seed at construction, so a checkpoint only needs the cursor — the
-// RNG position, the phase position, the per-phase walk positions, and
-// the two fractional accumulators. Restoring the cursor into a freshly
-// built generator for the same (profile, seed) reproduces the remaining
-// step stream bit-for-bit, which is what the snapshot layer's
-// differential goldens assert.
+// function of (profile, seed, cursor): each Chase phase's chain depends
+// on the seed alone (construction records where its shuffle starts, and
+// the chain is built on the phase's first step), so a checkpoint only
+// needs the cursor — the RNG position, the phase position, the
+// per-phase walk positions, and the two fractional accumulators.
+// Restoring the cursor into a freshly built generator for the same
+// (profile, seed) reproduces the remaining step stream bit-for-bit,
+// which is what the snapshot layer's differential goldens assert.
 
 import "fmt"
 
@@ -52,8 +53,9 @@ func CaptureGenState(gr Generator) (GenState, error) {
 }
 
 // RestoreGenState overlays a captured cursor onto a generator freshly
-// built by New for the same (profile, seed). The phase chains are already
-// in place from construction; only the cursor moves.
+// built by New for the same (profile, seed). Only the cursor moves: a
+// Chase phase's chain is rebuilt from its recorded seed on the phase's
+// first step after the restore, identical to the captured generator's.
 func RestoreGenState(gr Generator, st GenState) error {
 	g, ok := gr.(*gen)
 	if !ok {

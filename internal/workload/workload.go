@@ -373,14 +373,24 @@ func (g *gen) advance(instrs uint64) {
 
 // patternState holds per-phase address-generation state.
 type patternState struct {
-	// Chase: chain[i] is the next line index after i (single cycle).
-	chain []uint32
-	pos   uint32
+	// Chase: chain[i] is the next line index after i (single cycle). It
+	// is built on the phase's first Chase step, by replaying the shuffle
+	// that construction skipped from chainSeed (see init), so a generator
+	// whose Chase phases never run — every generator on the analytic tier
+	// — never pays for its permutations.
+	chain     []uint32
+	chainSeed uint64
+	lines     uint32
+	pos       uint32
 	// Stream/Strided: current byte offset.
 	offset uint64
 }
 
-// init prepares state for phase ph.
+// init prepares state for phase ph. A Chase phase records the RNG state
+// at which its Sattolo shuffle starts and skips the generator RNG past
+// the lines-1 draws the shuffle consumes (one per Intn; see
+// xrand.Rand.Skip), so the RNG ends exactly where an eager shuffle would
+// leave it: every later draw, and every captured GenState, is unchanged.
 func (s *patternState) init(ph Phase, rng *xrand.Rand) {
 	s.offset = 0
 	s.pos = 0
@@ -390,7 +400,9 @@ func (s *patternState) init(ph Phase, rng *xrand.Rand) {
 		if lines < 2 {
 			lines = 2
 		}
-		s.chain = sattolo(lines, rng)
+		s.lines = uint32(lines)
+		s.chainSeed = rng.State()
+		rng.Skip(uint64(lines - 1))
 	}
 }
 
@@ -398,6 +410,9 @@ func (s *patternState) init(ph Phase, rng *xrand.Rand) {
 func (s *patternState) next(ph Phase, rng *xrand.Rand) uint64 {
 	switch ph.Kind {
 	case Chase:
+		if s.chain == nil {
+			s.chain = sattolo(int(s.lines), xrand.New(s.chainSeed))
+		}
 		s.pos = s.chain[s.pos]
 		return uint64(s.pos) * lineBytes
 	case Stream, Strided:

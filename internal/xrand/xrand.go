@@ -40,9 +40,22 @@ func (r *Rand) State() uint64 { return r.state }
 // SetState rewinds or advances r to a previously captured State.
 func (r *Rand) SetState(s uint64) { r.state = s }
 
+// gamma is splitmix64's state increment: every Uint64 draw adds it to the
+// state and derives its output from the sum alone.
+const gamma = 0x9e3779b97f4a7c15
+
+// Skip advances r past n draws in O(1): afterwards r is exactly where n
+// Uint64 calls would have left it. Uint64n and Intn with a positive bound,
+// Float64 and Bool each consume exactly one draw (Uint64n and Intn consume
+// none when the bound is not positive), so Skip(n) also stands in for n
+// such calls. Lazy consumers rely on this contract: they record State
+// where a stream of draws would start, Skip past it, and replay the
+// stream later from a generator seeded with the recorded State.
+func (r *Rand) Skip(n uint64) { r.state += n * gamma }
+
 // Uint64 returns the next pseudo-random 64-bit value.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -128,3 +128,23 @@ func TestZeroValueUsable(t *testing.T) {
 		t.Fatal("zero-value generator repeated itself")
 	}
 }
+
+// Property: Skip(n) lands exactly where n Uint64 draws do, and Intn with a
+// positive bound consumes exactly one draw — the contract lazy consumers
+// (workload's on-first-use Chase chains) depend on.
+func TestQuickSkipEqualsDraws(t *testing.T) {
+	f := func(seed uint64, nRaw uint16, bound uint32) bool {
+		n := uint64(nRaw % 2048)
+		drawn, intn, skipped := New(seed), New(seed), New(seed)
+		for i := uint64(0); i < n; i++ {
+			drawn.Uint64()
+			intn.Intn(int(bound%1000) + 1)
+		}
+		skipped.Skip(n)
+		return skipped.State() == drawn.State() && intn.State() == drawn.State() &&
+			skipped.Uint64() == drawn.Uint64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,8 +11,9 @@
 # Environment variables (all optional; this is the whole interface, so
 # the script is callable from CI without arguments):
 #   OUT        output path for the JSON report (default: BENCH_kyoto.json
-#              in the repo root). CI writes BENCH_ci.json and diffs the
-#              allocs_per_op fields against zero.
+#              in the repo root). CI writes BENCH_ci.json, diffs the tick
+#              benchmarks' allocs_per_op against zero and holds
+#              BenchmarkAddVM/analytic's bytes_per_op under a ceiling.
 #   BENCHTIME  passed to `go test -benchtime`. Durations ("1s") give
 #              stable ns/op; iteration counts ("100x", "10x") are the CI
 #              smoke mode — fast and noisy, but allocs/op stays exact,
@@ -85,7 +86,7 @@ REPLAY_LIFE="${REPLAY_LIFE:-5}"
 REPLAY_BENCHTIME="${REPLAY_BENCHTIME:-2x}"
 
 run_bench() {
-	go test -run '^$' -bench 'BenchmarkWorldTick|BenchmarkCacheAccess|BenchmarkWorkloadGen|BenchmarkAccessLRU' \
+	go test -run '^$' -bench 'BenchmarkWorldTick|BenchmarkAddVM|BenchmarkCacheAccess|BenchmarkWorkloadGen|BenchmarkAccessLRU' \
 		-benchtime "$BENCHTIME" -benchmem ./internal/hv ./internal/cache ./internal/workload
 }
 
@@ -94,14 +95,17 @@ run_bench | awk '
 	name = $1
 	sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix
 	ns = ""
+	bytes = ""
 	allocs = ""
 	for (i = 2; i < NF; i++) {
 		if ($(i + 1) == "ns/op") ns = $i
+		if ($(i + 1) == "B/op") bytes = $i
 		if ($(i + 1) == "allocs/op") allocs = $i
 	}
 	if (ns != "") {
 		if (n++) printf ",\n"
-		printf "    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}", name, ns, (allocs == "" ? "null" : allocs)
+		printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, ns,
+			(bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs)
 	}
 }
 BEGIN {

@@ -37,11 +37,18 @@ type (
 	// HostOverride customizes one host of an otherwise uniform fleet
 	// (heterogeneous machines, memory or permit budgets).
 	HostOverride = cluster.HostOverride
-	// TraceSweepConfig parameterizes a three-placer trace sweep.
-	TraceSweepConfig = experiments.TraceSweepConfig
-	// TraceSweepResult compares the placers over one trace; its Table
-	// renders the rejection-rate / p99 report.
-	TraceSweepResult = experiments.TraceSweepResult
+	// ReplayStudy selects what a replay sweep compares: the three
+	// placers (TraceStudy), rebalancer x placer combinations
+	// (MigrationStudy) or trigger policies scored against ground truth
+	// (DetectionStudy).
+	ReplayStudy = experiments.ReplayStudy
+	// ReplaySweepConfig parameterizes a replay sweep of any study.
+	ReplaySweepConfig = experiments.ReplaySweepConfig
+	// ReplaySweepResult compares the study's arms over one trace; its
+	// Table renders the study's report (rejection rate and p99 for the
+	// trace study, queue waits and migrations for the migration study,
+	// false-trigger rate and time-to-detect for the detection study).
+	ReplaySweepResult = experiments.ReplaySweepResult
 	// Rebalancer plans live migrations from per-epoch pollution views;
 	// use NewReactiveRebalancer / NewTopologyRebalancer or implement your
 	// own against the cluster view types.
@@ -57,11 +64,6 @@ type (
 	// PendingPolicy selects what a replay does with arrivals no host can
 	// take (reject, queue FIFO, queue with deadline).
 	PendingPolicy = arrivals.PendingPolicy
-	// MigrationSweepConfig parameterizes a rebalancer x placer sweep.
-	MigrationSweepConfig = experiments.MigrationSweepConfig
-	// MigrationSweepResult compares the combinations over one trace; its
-	// Table renders the migration-vs-admission report.
-	MigrationSweepResult = experiments.MigrationSweepResult
 	// DetectorConfig tunes the streaming change-point detector behind
 	// the signature rebalancer (EWMA smoothing, CUSUM drift/threshold,
 	// warm-up); the zero value selects the detect package defaults.
@@ -73,15 +75,29 @@ type (
 	// its age; the signature rebalancer uses it to skip migrations that
 	// would not amortize their cache-rewarm cost.
 	LifetimeEstimator = cluster.LifetimeEstimator
-	// DetectionSweepConfig parameterizes the three-arm detection sweep.
-	DetectionSweepConfig = experiments.DetectionSweepConfig
-	// DetectionSweepResult scores threshold-reactive, signature-reactive
-	// and admission-only arms against the trace's aggressive-app ground
-	// truth; its Table reports false-trigger rates and time-to-detect.
-	DetectionSweepResult = experiments.DetectionSweepResult
-	// TwoTierTraceResult pairs a broad analytic trace sweep with the
-	// exact re-runs of its leading arms (SweepTraceTwoTier).
-	TwoTierTraceResult = experiments.TwoTierTraceResult
+	// ReplayTwoTierResult pairs a broad analytic replay sweep with the
+	// exact re-runs of its leading arms (ReplaySweepTwoTier).
+	ReplayTwoTierResult = experiments.ReplayTwoTierResult
+)
+
+// Replay studies (see ReplayStudy).
+const (
+	// TraceStudy replays the trace through first-fit, spread and Kyoto
+	// admission: per-placer rejection rate, utilization and fleet-wide
+	// p50/p95/p99 normalized performance — the paper's contrast under
+	// churn.
+	TraceStudy = experiments.TraceStudy
+	// MigrationStudy crosses the placers with rebalancers and the pending
+	// queue — reactive operation side by side with Kyoto's proactive
+	// admission: rejection rate, queue-wait percentiles, migration counts
+	// and the p99 normalized-performance floor per combination.
+	MigrationStudy = experiments.MigrationStudy
+	// DetectionStudy replays proactive Kyoto admission,
+	// threshold-reactive and signature-reactive (change-point detection)
+	// migration, and scores each arm's triggers against the trace's
+	// aggressive-app arrivals: false-trigger rate, detection coverage and
+	// mean time-to-detect.
+	DetectionStudy = experiments.DetectionStudy
 )
 
 // Pending-queue policies (see arrivals.PendingPolicy).
@@ -177,38 +193,18 @@ func ReplayTrace(cfg ClusterConfig, tr Trace, opts ReplayOptions) (ReplayResult,
 	return arrivals.Replay(c.fleet, tr, opts)
 }
 
-// SweepTrace replays the trace through all three placement policies on
-// identically seeded fleets and reports per-policy rejection rate,
-// utilization and fleet-wide p50/p95/p99 normalized performance — the
-// paper's contrast under churn.
-func SweepTrace(tr Trace, cfg TraceSweepConfig) (*TraceSweepResult, error) {
-	return experiments.TraceSweep(tr, cfg)
+// ReplaySweep replays the trace through every arm of cfg.Study on
+// identically seeded fleets, normalizing each placed VM against its app
+// class running alone. The whole sweep is deterministic for a given
+// trace and config.
+func ReplaySweep(tr Trace, cfg ReplaySweepConfig) (*ReplaySweepResult, error) {
+	return experiments.ReplaySweep(tr, cfg)
 }
 
-// SweepTraceTwoTier runs the trace sweep two-tier: the whole sweep on
+// ReplaySweepTwoTier runs a replay sweep two-tier: the whole sweep on
 // the analytic fast tier, then the topK arms with the best analytic p99
 // floor re-run on the exact tier (with exact solo baselines). topK <= 0
 // confirms one arm. The broad pass ranks, the exact pass decides.
-func SweepTraceTwoTier(tr Trace, cfg TraceSweepConfig, topK int) (*TwoTierTraceResult, error) {
-	return experiments.TwoTierTraceSweep(tr, cfg, topK)
-}
-
-// SweepMigrations replays the trace through every requested rebalancer x
-// placer combination on identically seeded fleets — reactive operation
-// (live migration, pending queue) side by side with Kyoto's proactive
-// admission. The result's Table reports rejection rate, queue-wait
-// percentiles, migration counts and the p99 normalized-performance floor
-// per combination.
-func SweepMigrations(tr Trace, cfg MigrationSweepConfig) (*MigrationSweepResult, error) {
-	return experiments.MigrationSweep(tr, cfg)
-}
-
-// SweepDetection replays the trace through three arms on identically
-// seeded fleets — proactive Kyoto admission, threshold-reactive
-// migration and signature-reactive migration (change-point detection) —
-// and scores each arm's triggers against the trace's aggressive-app
-// arrivals: false-trigger rate, detection coverage and mean
-// time-to-detect, alongside the usual p99 normalized-performance floor.
-func SweepDetection(tr Trace, cfg DetectionSweepConfig) (*DetectionSweepResult, error) {
-	return experiments.DetectionSweep(tr, cfg)
+func ReplaySweepTwoTier(tr Trace, cfg ReplaySweepConfig, topK int) (*ReplayTwoTierResult, error) {
+	return experiments.ReplayTwoTier(tr, cfg, topK)
 }

@@ -49,13 +49,14 @@ func ExampleReplayTrace() {
 	// noperm: no llc_cap permit booked
 }
 
-// ExampleSweepTrace contrasts the three placement policies over one
-// trace on identically seeded fleets — the paper's argument under churn:
-// the capacity-only policies place everything (and let pollution land
-// where it may), Kyoto admission rejects the VM that books no permit.
-func ExampleSweepTrace() {
-	res, err := kyoto.SweepTrace(lifecycleTrace(), kyoto.TraceSweepConfig{
-		Hosts: 2, Seed: 1, DrainTicks: 6,
+// ExampleReplaySweep runs the trace study: the three placement policies
+// over one trace on identically seeded fleets — the paper's argument
+// under churn: the capacity-only policies place everything (and let
+// pollution land where it may), Kyoto admission rejects the VM that
+// books no permit.
+func ExampleReplaySweep() {
+	res, err := kyoto.ReplaySweep(lifecycleTrace(), kyoto.ReplaySweepConfig{
+		Study: kyoto.TraceStudy, Hosts: 2, Seed: 1, DrainTicks: 6,
 	})
 	if err != nil {
 		fmt.Println(err)
@@ -148,8 +149,8 @@ func ExampleNewReactiveRebalancer() {
 // under every seed, so the rejection rate is exactly 1/4 with a
 // zero-width confidence interval.
 func ExampleNewSeedSweeper() {
-	proto, err := kyoto.NewTraceSweeper(lifecycleTrace(), kyoto.TraceSweepConfig{
-		Hosts: 2, Seed: 1, DrainTicks: 6,
+	proto, err := kyoto.NewReplaySweeper(lifecycleTrace(), kyoto.ReplaySweepConfig{
+		Study: kyoto.TraceStudy, Hosts: 2, Seed: 1, DrainTicks: 6,
 	})
 	if err != nil {
 		fmt.Println(err)
@@ -188,8 +189,8 @@ func ExampleNewSeedSweeper() {
 // shard envelopes into the same result an unsharded run produces, bit
 // for bit.
 func ExampleMergeShards() {
-	build := func() *kyoto.TraceSweeper {
-		s, err := kyoto.NewTraceSweeper(lifecycleTrace(), kyoto.TraceSweepConfig{Hosts: 2, Seed: 1})
+	build := func() *kyoto.ReplaySweeper {
+		s, err := kyoto.NewReplaySweeper(lifecycleTrace(), kyoto.ReplaySweepConfig{Study: kyoto.TraceStudy, Hosts: 2, Seed: 1})
 		if err != nil {
 			panic(err)
 		}

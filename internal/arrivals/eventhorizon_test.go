@@ -4,7 +4,7 @@ package arrivals
 // that force several lazy-clock interactions to land on the same tick
 // (departure + rebalance epoch + pending retry), queue-side events that
 // fire while every host world is hundreds of ticks behind the fleet
-// clock, and the blanket contract that Options.Lockstep changes
+// clock, and the blanket contract that the lockstep option changes
 // scheduling only — every fingerprint must match the lazy default
 // bit for bit.
 
@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"kyoto/internal/cache"
 	"kyoto/internal/cluster"
 )
 
@@ -32,40 +33,84 @@ func kyotoFleet(t *testing.T, hosts, workers int) *cluster.Fleet {
 }
 
 // TestLockstepMatchesLazyFingerprint is the blanket equivalence
-// contract behind the -lockstep flag: on a sparse synthetic trace with
-// the pending queue and reactive rebalancing active, the eager
-// lockstep engine and the lazy event-horizon default must produce the
-// same result fingerprint, serial and parallel alike.
+// contract between the eager lockstep engine and the lazy event-horizon
+// default: they must produce the same result fingerprint, serial and
+// parallel alike — on a sparse synthetic trace with the pending queue
+// and reactive rebalancing active, and on the sparse analytic churn
+// sweep the replay speedup is quoted on.
 func TestLockstepMatchesLazyFingerprint(t *testing.T) {
-	tr := Synthesize(SynthConfig{Seed: 9, VMs: 60, Horizon: 3600, MeanLifetime: 5})
-	run := func(lockstep bool, workers int) string {
-		t.Helper()
-		res, err := Replay(kyotoFleet(t, 6, workers), tr, Options{
-			DrainTicks:     6,
-			Pending:        PendingFIFO,
-			Rebalancer:     &cluster.Reactive{},
-			RebalanceEvery: 9,
-			Lockstep:       lockstep,
-		})
-		if err != nil {
-			t.Fatal(err)
+	t.Run("queue-and-rebalancer", func(t *testing.T) {
+		tr := Synthesize(SynthConfig{Seed: 9, VMs: 60, Horizon: 3600, MeanLifetime: 5})
+		run := func(lockstep bool, workers int) string {
+			t.Helper()
+			res, err := Replay(kyotoFleet(t, 6, workers), tr, Options{
+				DrainTicks:     6,
+				Pending:        PendingFIFO,
+				Rebalancer:     &cluster.Reactive{},
+				RebalanceEvery: 9,
+				lockstep:       lockstep,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Fingerprint()
 		}
-		return res.Fingerprint()
-	}
-	lazy := run(false, 1)
-	for _, tc := range []struct {
-		name     string
-		lockstep bool
-		workers  int
-	}{
-		{"lazy-parallel", false, 0},
-		{"lockstep-serial", true, 1},
-		{"lockstep-parallel", true, 0},
-	} {
-		if got := run(tc.lockstep, tc.workers); got != lazy {
-			t.Fatalf("%s fingerprint %s != lazy serial %s", tc.name, got, lazy)
+		lazy := run(false, 1)
+		for _, tc := range []struct {
+			name     string
+			lockstep bool
+			workers  int
+		}{
+			{"lazy-parallel", false, 0},
+			{"lockstep-serial", true, 1},
+			{"lockstep-parallel", true, 0},
+		} {
+			if got := run(tc.lockstep, tc.workers); got != lazy {
+				t.Fatalf("%s fingerprint %s != lazy serial %s", tc.name, got, lazy)
+			}
 		}
-	}
+	})
+	// The analytic churn sweep shape of `kyotosim -churn 20000
+	// -churn-horizon 1200000 -churn-life 5 -hosts 12 -fidelity analytic`:
+	// 20k arrivals over 60 ticks per VM with mean lifetime 5 on 12 hosts,
+	// so hosts idle most of the time — the regime laziness exists for.
+	// Every placer arm of the sweep must replay to the same fingerprint
+	// on both engines.
+	t.Run("churn-sweep", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("replays 20k arrivals through three placer arms on both engines")
+		}
+		const vms = 20000
+		tr := Synthesize(SynthConfig{Seed: 1, VMs: vms, Horizon: vms * 60, MeanLifetime: 5})
+		for _, arm := range []struct {
+			placer   cluster.Placer
+			enforced bool
+		}{
+			{cluster.FirstFit{}, false},
+			{cluster.Spread{}, false},
+			{cluster.Admission{}, true},
+		} {
+			run := func(lockstep bool) string {
+				t.Helper()
+				f, err := cluster.New(cluster.Config{
+					Hosts:    12,
+					Template: cluster.HostTemplate{Seed: 1, EnableKyoto: arm.enforced, Fidelity: cache.FidelityAnalytic},
+					Placer:   arm.placer,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Replay(f, tr, Options{DrainTicks: 30, lockstep: lockstep})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Fingerprint()
+			}
+			if lazy, eager := run(false), run(true); lazy != eager {
+				t.Errorf("%s arm: lockstep fingerprint %s != lazy %s", arm.placer.Name(), eager, lazy)
+			}
+		}
+	})
 }
 
 // TestEpochDepartureRetrySameTick pins the replay's intra-tick ordering
@@ -95,7 +140,7 @@ func TestEpochDepartureRetrySameTick(t *testing.T) {
 			Pending:        PendingFIFO,
 			Rebalancer:     &cluster.Reactive{},
 			RebalanceEvery: 9,
-			Lockstep:       lockstep,
+			lockstep:       lockstep,
 		}
 	}
 	res, err := Replay(kyotoFleet(t, 2, 1), tr, opt(false))
@@ -192,7 +237,7 @@ func TestDeadlineFiresAcrossHostGap(t *testing.T) {
 		{Submit: 600, Lifetime: 20, Name: "patient", App: "omnetpp", LLCCap: 100},
 	}}
 	opt := func(lockstep bool) Options {
-		return Options{Pending: PendingDeadline, MaxWait: 500, DrainTicks: 4, Lockstep: lockstep}
+		return Options{Pending: PendingDeadline, MaxWait: 500, DrainTicks: 4, lockstep: lockstep}
 	}
 	res, err := Replay(oneHostFleet(t), tr, opt(false))
 	if err != nil {

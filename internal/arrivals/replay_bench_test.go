@@ -92,7 +92,7 @@ func BenchmarkReplayChurn(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f := benchFleet(b, c.hosts, 0, c.fidelity)
-				opt := Options{Lockstep: c.lockstep}
+				opt := Options{lockstep: c.lockstep}
 				if c.migrate {
 					opt.Rebalancer = &cluster.Reactive{}
 				}

@@ -43,7 +43,7 @@
 // receives exactly the tick sequence the clock deltas dictate — so a
 // drained, elided, concurrent run is bit-identical to
 // RunTicksLockstep's eager serial schedule (the pre-event-horizon
-// engine, kept as the measured baseline).
+// engine, kept only as the test reference).
 package cluster
 
 import (
@@ -513,30 +513,23 @@ const DueChunkTicks = 256
 // RunTicks advances every host n ticks: the fleet clock moves forward
 // and every host catches up to it, the drainers closing lags alongside
 // the calling goroutine. Hosts share no state, so the result is
-// identical to RunTicksSerial.
+// identical to advancing the hosts one after another on one goroutine
+// (the serial reference the cluster tests compare against).
 func (f *Fleet) RunTicks(n int) {
 	f.SkipTicks(uint64(n))
 	f.Barrier()
-}
-
-// RunTicksSerial advances every host n ticks on the calling goroutine, in
-// host-ID order — the reference execution the concurrent path must match.
-func (f *Fleet) RunTicksSerial(n int) {
-	f.sched.clock.Add(uint64(n))
-	for _, h := range f.hosts {
-		h.mu.Lock()
-		f.sched.seekLocked(h)
-		h.mu.Unlock()
-	}
 }
 
 // RunTicksLockstep advances every host n ticks through the
 // pre-event-horizon schedule: the whole fleet synchronizes inside this
 // one call, hosts distributed across a freshly spawned worker pool of
 // min(Workers, hosts, GOMAXPROCS) goroutines, with no idle elision and
-// no background draining. It exists as the measured baseline the lazy
-// engine's speedup is quoted against (arrivals.Options.Lockstep) and is
-// bit-identical to RunTicks — only the schedule and the cost differ.
+// no background draining. It is bit-identical to RunTicks — only the
+// schedule and the cost differ — and exists only as the test reference:
+// the replay engine's tests drive it through a package-internal option
+// to check lazy-vs-eager fingerprint equality and to benchmark the lazy
+// engine's speedup. Production callers use RunTicks, or SkipTicks and
+// Barrier.
 func (f *Fleet) RunTicksLockstep(n int) {
 	s := f.sched
 	s.clock.Add(uint64(n)) // deliberately no nudge: drainers stay parked

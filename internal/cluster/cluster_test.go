@@ -28,6 +28,18 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
+// runTicksSerial advances every host n ticks on the calling goroutine,
+// in host-ID order — the reference execution the concurrent path must
+// match.
+func runTicksSerial(f *Fleet, n int) {
+	f.sched.clock.Add(uint64(n))
+	for _, h := range f.hosts {
+		h.mu.Lock()
+		f.sched.seekLocked(h)
+		h.mu.Unlock()
+	}
+}
+
 func TestHostsAreIndependentlySeeded(t *testing.T) {
 	f, err := New(Config{Hosts: 2, Template: HostTemplate{Seed: 7}})
 	if err != nil {
@@ -38,7 +50,7 @@ func TestHostsAreIndependentlySeeded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.RunTicksSerial(20)
+	runTicksSerial(f, 20)
 	c0 := f.Host(0).World.FindVM("v").Counters()
 	c1 := f.Host(1).World.FindVM("v").Counters()
 	if c0 == c1 {
@@ -107,7 +119,7 @@ func TestFleetParallelMatchesSerial(t *testing.T) {
 	serial := fleetScenario(t, hosts, 1)
 	parallel := fleetScenario(t, hosts, 8)
 
-	serial.RunTicksSerial(30)
+	runTicksSerial(serial, 30)
 	parallel.RunTicks(30)
 
 	sSnap := serial.SnapshotVMs()

@@ -93,15 +93,15 @@ func GoldenSweepTrace() arrivals.Trace {
 }
 
 // GoldenTraceSweepConfig is the trace-sweep-2h golden configuration.
-func GoldenTraceSweepConfig() TraceSweepConfig {
-	return TraceSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 6}
+func GoldenTraceSweepConfig() ReplaySweepConfig {
+	return ReplaySweepConfig{Study: TraceStudy, Hosts: 2, Seed: 5, DrainTicks: 6}
 }
 
 // GoldenMigrationSweepConfig is the migration-sweep-2h golden
 // configuration.
-func GoldenMigrationSweepConfig() MigrationSweepConfig {
-	return MigrationSweepConfig{
-		Hosts: 2, Seed: 5, DrainTicks: 6, BigLLCFactor: 2,
+func GoldenMigrationSweepConfig() ReplaySweepConfig {
+	return ReplaySweepConfig{
+		Study: MigrationStudy, Hosts: 2, Seed: 5, DrainTicks: 6, BigLLCFactor: 2,
 		Pending: arrivals.PendingFIFO, Downtime: 2,
 	}
 }
@@ -192,9 +192,9 @@ func CrossValidate(seed uint64, figures ...string) (*CrossValResult, error) {
 		case "fig4":
 			err = crossValFig4(res, seed)
 		case "trace":
-			err = crossValTrace(res)
+			err = crossValReplay(res, "trace-sweep-2h", GoldenTraceSweepConfig(), BudgetTraceP99, BudgetTraceRejectionPts)
 		case "migration":
-			err = crossValMigration(res)
+			err = crossValReplay(res, "migration-sweep-2h", GoldenMigrationSweepConfig(), BudgetMigrationP99, BudgetMigrationRejectionPts)
 		case "occupancy":
 			err = crossValOccupancy(res, seed)
 		default:
@@ -291,14 +291,14 @@ func crossValFig4(res *CrossValResult, seed uint64) error {
 	return nil
 }
 
-// crossValTrace compares the three placer arms of the committed
-// trace-sweep golden: worst per-placer p99 normalized-performance error
-// and worst rejection-rate error.
-func crossValTrace(res *CrossValResult) error {
-	run := func(fid cache.Fidelity) (*TraceSweepResult, error) {
-		cfg := GoldenTraceSweepConfig()
+// crossValReplay compares the arms of a committed replay-sweep golden
+// (the three placers of trace-sweep-2h, the nine rebalancer x placer
+// combinations of migration-sweep-2h): worst per-arm p99
+// normalized-performance error and worst rejection-rate error.
+func crossValReplay(res *CrossValResult, figure string, cfg ReplaySweepConfig, budgetP99, budgetRejPts float64) error {
+	run := func(fid cache.Fidelity) (*ReplaySweepResult, error) {
 		cfg.Fidelity = fid
-		return TraceSweep(GoldenSweepTrace(), cfg)
+		return ReplaySweep(GoldenSweepTrace(), cfg)
 	}
 	exact, err := run(cache.FidelityExact)
 	if err != nil {
@@ -308,13 +308,14 @@ func crossValTrace(res *CrossValResult) error {
 	if err != nil {
 		return err
 	}
-	byPlacer := make(map[string]TraceSweepRow, len(analytic.Rows))
+	study := &replayStudies[cfg.Study]
+	byArm := make(map[string]ReplaySweepRow, len(analytic.Rows))
 	for _, row := range analytic.Rows {
-		byPlacer[row.Placer] = row
+		byArm[study.metricRow(row).Arm] = row
 	}
 	var worstP99, p99E, p99A, worstRej, rejE, rejA float64
 	for _, e := range exact.Rows {
-		a := byPlacer[e.Placer]
+		a := byArm[study.metricRow(e).Arm]
 		if d := math.Abs(a.P99 - e.P99); d > worstP99 {
 			worstP99, p99E, p99A = d, e.P99, a.P99
 		}
@@ -324,55 +325,12 @@ func crossValTrace(res *CrossValResult) error {
 	}
 	res.Checks = append(res.Checks,
 		CrossValCheck{
-			Figure: "trace-sweep-2h", Metric: "p99 normalized perf max |err|",
-			Exact: p99E, Analytic: p99A, Err: worstP99, Budget: BudgetTraceP99,
+			Figure: figure, Metric: "p99 normalized perf max |err|",
+			Exact: p99E, Analytic: p99A, Err: worstP99, Budget: budgetP99,
 		},
 		CrossValCheck{
-			Figure: "trace-sweep-2h", Metric: "rejection rate max |err| (pts)",
-			Exact: rejE, Analytic: rejA, Err: worstRej, Budget: BudgetTraceRejectionPts,
-		})
-	return nil
-}
-
-// crossValMigration is crossValTrace for the nine rebalancer x placer
-// combinations of the committed migration-sweep golden.
-func crossValMigration(res *CrossValResult) error {
-	run := func(fid cache.Fidelity) (*MigrationSweepResult, error) {
-		cfg := GoldenMigrationSweepConfig()
-		cfg.Fidelity = fid
-		return MigrationSweep(GoldenSweepTrace(), cfg)
-	}
-	exact, err := run(cache.FidelityExact)
-	if err != nil {
-		return err
-	}
-	analytic, err := run(cache.FidelityAnalytic)
-	if err != nil {
-		return err
-	}
-	type comb struct{ placer, rebalancer string }
-	byComb := make(map[comb]MigrationSweepRow, len(analytic.Rows))
-	for _, row := range analytic.Rows {
-		byComb[comb{row.Placer, row.Rebalancer}] = row
-	}
-	var worstP99, p99E, p99A, worstRej, rejE, rejA float64
-	for _, e := range exact.Rows {
-		a := byComb[comb{e.Placer, e.Rebalancer}]
-		if d := math.Abs(a.P99 - e.P99); d > worstP99 {
-			worstP99, p99E, p99A = d, e.P99, a.P99
-		}
-		if d := 100 * math.Abs(a.RejectionRate-e.RejectionRate); d > worstRej {
-			worstRej, rejE, rejA = d, 100*e.RejectionRate, 100*a.RejectionRate
-		}
-	}
-	res.Checks = append(res.Checks,
-		CrossValCheck{
-			Figure: "migration-sweep-2h", Metric: "p99 normalized perf max |err|",
-			Exact: p99E, Analytic: p99A, Err: worstP99, Budget: BudgetMigrationP99,
-		},
-		CrossValCheck{
-			Figure: "migration-sweep-2h", Metric: "rejection rate max |err| (pts)",
-			Exact: rejE, Analytic: rejA, Err: worstRej, Budget: BudgetMigrationRejectionPts,
+			Figure: figure, Metric: "rejection rate max |err| (pts)",
+			Exact: rejE, Analytic: rejA, Err: worstRej, Budget: budgetRejPts,
 		})
 	return nil
 }

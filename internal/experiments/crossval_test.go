@@ -67,7 +67,7 @@ func TestMismatchedFidelityEnvelopesRefuseMerge(t *testing.T) {
 	build := func(fid cache.Fidelity) sweep.Sweep {
 		cfg := GoldenTraceSweepConfig()
 		cfg.Fidelity = fid
-		s, err := NewTraceSweeper(GoldenSweepTrace(), cfg)
+		s, err := NewReplaySweeper(GoldenSweepTrace(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

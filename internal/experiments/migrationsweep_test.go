@@ -11,7 +11,8 @@ func TestMigrationSweepComparesCombinations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration sweep replays nine fleets")
 	}
-	res, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{
+	res, err := ReplaySweep(sweepTrace(), ReplaySweepConfig{
+		Study:        MigrationStudy,
 		Hosts:        2,
 		Seed:         5,
 		DrainTicks:   12,
@@ -51,7 +52,8 @@ func TestMigrationSweepComparesCombinations(t *testing.T) {
 
 	// Identical configs reproduce identical outcomes (the sweep fans out
 	// across goroutines; fingerprints must not care).
-	again, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{
+	again, err := ReplaySweep(sweepTrace(), ReplaySweepConfig{
+		Study:        MigrationStudy,
 		Hosts:        2,
 		Seed:         5,
 		DrainTicks:   12,
@@ -80,7 +82,8 @@ func TestMigrationSweepReportsSJFWaits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays three fleets")
 	}
-	res, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{
+	res, err := ReplaySweep(sweepTrace(), ReplaySweepConfig{
+		Study:       MigrationStudy,
 		Hosts:       2,
 		Seed:        5,
 		DrainTicks:  6,
@@ -104,14 +107,14 @@ func TestMigrationSweepReportsSJFWaits(t *testing.T) {
 }
 
 func TestMigrationSweepValidatesConfig(t *testing.T) {
-	if _, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{BigLLCFactor: 3}); err == nil || !strings.Contains(err.Error(), "power of two") {
+	if _, err := ReplaySweep(sweepTrace(), ReplaySweepConfig{Study: MigrationStudy, BigLLCFactor: 3}); err == nil || !strings.Contains(err.Error(), "power of two") {
 		t.Fatalf("BigLLCFactor 3: %v", err)
 	}
-	if _, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{Rebalancers: []string{"bogus"}}); err == nil {
+	if _, err := ReplaySweep(sweepTrace(), ReplaySweepConfig{Study: MigrationStudy, Rebalancers: []string{"bogus"}}); err == nil {
 		t.Fatal("bogus rebalancer name must fail")
 	}
 	bad := arrivals.Trace{Events: []arrivals.Event{{App: "no-such-app"}}}
-	if _, err := MigrationSweep(bad, MigrationSweepConfig{}); err == nil {
+	if _, err := ReplaySweep(bad, ReplaySweepConfig{Study: MigrationStudy}); err == nil {
 		t.Fatal("invalid trace must fail")
 	}
 }
@@ -120,7 +123,8 @@ func TestMigrationSweepSubsetOfRebalancers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays three fleets")
 	}
-	res, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{
+	res, err := ReplaySweep(sweepTrace(), ReplaySweepConfig{
+		Study:       MigrationStudy,
 		Hosts:       2,
 		Seed:        5,
 		DrainTicks:  6,

@@ -1,14 +1,16 @@
 package experiments
 
-// Config-digest pins for the replay sweeps. The merged-fingerprint
-// goldens hash job payloads only, so nothing else notices a changed
+// Replay-sweep configuration tests: config-digest pins, Reseed
+// preservation and knob validation. The merged-fingerprint goldens hash
+// job payloads only, so nothing else notices a changed
 // ConfigFingerprint — yet a changed digest silently stops shard
-// envelopes written by an older binary from merging. These hex strings
-// were computed before the sweeps were folded into one implementation
-// and must never be regenerated.
+// envelopes written by an older binary from merging. The pinned hex
+// strings were computed when each study was still its own sweeper and
+// must never be regenerated.
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"kyoto/internal/arrivals"
@@ -28,12 +30,12 @@ func TestReplaySweepConfigDigestsPinned(t *testing.T) {
 		"trace": func(fid cache.Fidelity) (sweep.Seedable, error) {
 			cfg := GoldenTraceSweepConfig()
 			cfg.Fidelity = fid
-			return NewTraceSweeper(GoldenSweepTrace(), cfg)
+			return NewReplaySweeper(GoldenSweepTrace(), cfg)
 		},
 		"migration": func(fid cache.Fidelity) (sweep.Seedable, error) {
 			cfg := GoldenMigrationSweepConfig()
 			cfg.Fidelity = fid
-			return NewMigrationSweeper(GoldenSweepTrace(), cfg)
+			return NewReplaySweeper(GoldenSweepTrace(), cfg)
 		},
 		"migration-variant": func(fid cache.Fidelity) (sweep.Seedable, error) {
 			cfg := GoldenMigrationSweepConfig()
@@ -41,12 +43,12 @@ func TestReplaySweepConfigDigestsPinned(t *testing.T) {
 			cfg.Pending = arrivals.PendingFIFO
 			cfg.Detector = digestVariantDetector
 			cfg.Fidelity = fid
-			return NewMigrationSweeper(GoldenSweepTrace(), cfg)
+			return NewReplaySweeper(GoldenSweepTrace(), cfg)
 		},
 		"detection": func(fid cache.Fidelity) (sweep.Seedable, error) {
 			cfg := goldenDetectionConfig(0)
 			cfg.Fidelity = fid
-			return NewDetectionSweeper(example, cfg)
+			return NewReplaySweeper(example, cfg)
 		},
 	}
 	want := map[string]string{
@@ -81,48 +83,66 @@ func TestReplaySweepReseedKeepsConfig(t *testing.T) {
 	example := exampleTrace(t)
 	overrides := map[int]cluster.HostOverride{0: {LLCBudget: 900}}
 
-	tcfg := TraceSweepConfig{Hosts: 3, Seed: 2, Workers: 2, DrainTicks: 7, Overrides: overrides, Fidelity: cache.FidelityAnalytic}
-	ts, err := NewTraceSweeper(GoldenSweepTrace(), tcfg)
+	tcfg := ReplaySweepConfig{Hosts: 3, Seed: 2, Workers: 2, DrainTicks: 7, Overrides: overrides, Fidelity: cache.FidelityAnalytic}
+	ts, err := NewReplaySweeper(GoldenSweepTrace(), tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcfg := MigrationSweepConfig{
+	mcfg := ReplaySweepConfig{
+		Study: MigrationStudy,
 		Hosts: 3, Seed: 2, Workers: 2, DrainTicks: 7, Overrides: overrides, BigLLCFactor: 2,
 		Rebalancers: []string{"none", "signature"}, RebalanceEvery: 5, Downtime: 1,
 		Pending: arrivals.PendingDeadline, MaxWait: 9, Detector: digestVariantDetector,
 		Fidelity: cache.FidelityAnalytic,
 	}
-	ms, err := NewMigrationSweeper(GoldenSweepTrace(), mcfg)
+	ms, err := NewReplaySweeper(GoldenSweepTrace(), mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg := DetectionSweepConfig{
+	dcfg := ReplaySweepConfig{
+		Study: DetectionStudy,
 		Hosts: 3, Seed: 2, Workers: 2, DrainTicks: 7, RebalanceEvery: 5, Downtime: 1,
 		Threshold: 0.5, Detector: digestVariantDetector, AggressiveApps: []string{"lbm"},
 		Fidelity: cache.FidelityAnalytic,
 	}
-	ds, err := NewDetectionSweeper(example, dcfg)
+	ds, err := NewReplaySweeper(example, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	check := func(name string, s sweep.Seedable, cfgOf func(sweep.Seedable) interface{}, withSeed func(uint64) interface{}) {
-		t.Helper()
+	for name, s := range map[string]*ReplaySweeper{"trace": ts, "migration": ms, "detection": ds} {
 		re, err := s.Reseed(11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := cfgOf(re), withSeed(11); !reflect.DeepEqual(got, want) {
+		want := s.cfg
+		want.Seed = 11
+		if got := re.(*ReplaySweeper).cfg; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s Reseed(11) config %+v, want %+v", name, got, want)
 		}
-		if got, want := re.(sweep.ConfigFingerprinter).ConfigFingerprint(), s.(sweep.ConfigFingerprinter).ConfigFingerprint(); got == want {
+		if re.(*ReplaySweeper).ConfigFingerprint() == s.ConfigFingerprint() {
 			t.Errorf("%s Reseed(11) kept the seed-2 config digest", name)
 		}
 	}
-	check("trace", ts, func(s sweep.Seedable) interface{} { return s.(*TraceSweeper).cfg },
-		func(seed uint64) interface{} { c := ts.cfg; c.Seed = seed; return c })
-	check("migration", ms, func(s sweep.Seedable) interface{} { return s.(*MigrationSweeper).cfg },
-		func(seed uint64) interface{} { c := ms.cfg; c.Seed = seed; return c })
-	check("detection", ds, func(s sweep.Seedable) interface{} { return s.(*DetectionSweeper).cfg },
-		func(seed uint64) interface{} { c := ds.cfg; c.Seed = seed; return c })
+}
+
+// TestReplaySweepRejectsForeignKnobs: a knob the selected study never
+// reads would change neither its results nor its config digest, so
+// setting one is an error rather than a silent no-op.
+func TestReplaySweepRejectsForeignKnobs(t *testing.T) {
+	for _, cfg := range []ReplaySweepConfig{
+		{Study: TraceStudy, Rebalancers: []string{"reactive"}},
+		{Study: TraceStudy, Pending: arrivals.PendingFIFO},
+		{Study: MigrationStudy, Threshold: 0.5},
+		{Study: MigrationStudy, AggressiveApps: []string{"lbm"}},
+		{Study: DetectionStudy, Overrides: map[int]cluster.HostOverride{0: {LLCBudget: 900}}},
+		{Study: DetectionStudy, MaxWait: 9},
+	} {
+		if _, err := NewReplaySweeper(GoldenSweepTrace(), cfg); err == nil || !strings.Contains(err.Error(), "does not apply") {
+			t.Errorf("%v study with a foreign knob: err = %v, want a does-not-apply refusal", cfg.Study, err)
+		}
+	}
+	if _, err := NewReplaySweeper(GoldenSweepTrace(), ReplaySweepConfig{Study: 7}); err == nil {
+		t.Error("unknown study must fail")
+	}
 }

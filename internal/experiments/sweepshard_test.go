@@ -71,13 +71,13 @@ func TestSweepShardDeterminismGolden(t *testing.T) {
 	// The trace sweep: cheap enough to run in short mode (and therefore
 	// under CI's -race pass).
 	got["trace-sweep-2h"] = shardGoldenCase(t, func() sweep.Sweep {
-		s, err := NewTraceSweeper(sweepTrace(), GoldenTraceSweepConfig())
+		s, err := NewReplaySweeper(sweepTrace(), GoldenTraceSweepConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}, func(s sweep.Sweep) string {
-		return s.(*TraceSweeper).Result().Table().String()
+		return s.(*ReplaySweeper).Result().Table().String()
 	}, shardCounts)
 
 	// The 9-combination migration sweep exercises stateful rebalancers
@@ -85,13 +85,13 @@ func TestSweepShardDeterminismGolden(t *testing.T) {
 	// full mode only.
 	if !testing.Short() {
 		got["migration-sweep-2h"] = shardGoldenCase(t, func() sweep.Sweep {
-			s, err := NewMigrationSweeper(sweepTrace(), GoldenMigrationSweepConfig())
+			s, err := NewReplaySweeper(sweepTrace(), GoldenMigrationSweepConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		}, func(s sweep.Sweep) string {
-			return s.(*MigrationSweeper).Result().Table().String()
+			return s.(*ReplaySweeper).Result().Table().String()
 		}, shardCounts)
 	}
 

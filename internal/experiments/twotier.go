@@ -27,99 +27,101 @@ import (
 // on the exact tier when the caller does not say.
 const DefaultConfirmTopK = 1
 
-// TwoTierTraceResult pairs the broad analytic trace sweep with the exact
-// re-runs of its leading arms.
-type TwoTierTraceResult struct {
+// ReplayTwoTierResult pairs the broad analytic replay sweep with the
+// exact re-runs of its leading arms.
+type ReplayTwoTierResult struct {
 	// Analytic is the full broad-pass sweep result.
-	Analytic *TraceSweepResult
+	Analytic *ReplaySweepResult
 	// TopK is the number of arms confirmed exact.
 	TopK int
 	// Confirmed holds the exact-tier rows of the top-k arms, in the
 	// analytic pass's p99 ranking order (best floor first).
-	Confirmed []TraceSweepRow
+	Confirmed []ReplaySweepRow
 }
 
-// TwoTierTraceSweep runs the three-placer trace sweep two-tier: the
-// whole sweep on the analytic tier, then the topK arms with the best
-// analytic p99 normalized-performance floor again on the exact tier
-// (with exact solo baselines, so the confirmation rows normalize against
-// the same tier they ran on). topK <= 0 selects DefaultConfirmTopK.
-func TwoTierTraceSweep(tr arrivals.Trace, cfg TraceSweepConfig, topK int) (*TwoTierTraceResult, error) {
+// ReplayTwoTier runs a replay sweep two-tier: the whole sweep on the
+// analytic tier, then the topK arms with the best analytic p99
+// normalized-performance floor again on the exact tier (with exact solo
+// baselines, so the confirmation rows normalize against the same tier
+// they ran on). cfg.Fidelity is ignored; topK <= 0 selects
+// DefaultConfirmTopK.
+func ReplayTwoTier(tr arrivals.Trace, cfg ReplaySweepConfig, topK int) (*ReplayTwoTierResult, error) {
 	if topK <= 0 {
 		topK = DefaultConfirmTopK
 	}
 	acfg := cfg
 	acfg.Fidelity = cache.FidelityAnalytic
-	ares, err := TraceSweep(tr, acfg)
+	ares, err := ReplaySweep(tr, acfg)
 	if err != nil {
 		return nil, err
 	}
-	ranked := append([]TraceSweepRow(nil), ares.Rows...)
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].P99 > ranked[j].P99 })
+	ecfg := cfg
+	ecfg.Fidelity = cache.FidelityExact
+	es, err := NewReplaySweeper(tr, ecfg)
+	if err != nil {
+		return nil, err
+	}
+	// Rows follow the plan's arm order, so ranking row indices ranks the
+	// arms' jobs.
+	ranked := make([]int, len(ares.Rows))
+	for i := range ranked {
+		ranked[i] = i
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return ares.Rows[ranked[i]].P99 > ares.Rows[ranked[j]].P99 })
 	if topK > len(ranked) {
 		topK = len(ranked)
 	}
 
-	ecfg := cfg
-	ecfg.Fidelity = cache.FidelityExact
-	es, err := NewTraceSweeper(tr, ecfg)
-	if err != nil {
-		return nil, err
-	}
 	// Exact solo baselines plus the top-k arm replays, as the exact
 	// sweeper's own jobs, fanned out like any sweep.
-	keys := make([]string, 0, len(es.apps)+topK)
-	for _, app := range es.apps {
-		keys = append(keys, "solo/"+app)
+	plan := es.Plan()
+	jobs := append([]sweep.Job(nil), plan[:len(es.apps)]...)
+	for _, i := range ranked[:topK] {
+		jobs = append(jobs, plan[len(es.apps)+i])
 	}
-	for i := 0; i < topK; i++ {
-		keys = append(keys, "arm/"+ranked[i].Placer)
-	}
-	raws := make([]json.RawMessage, len(keys))
-	if err := ForEach(len(keys), cfg.Workers, func(i int) error {
-		raw, err := es.Run(sweep.Job{Sweep: es.Name(), Key: keys[i]})
+	raws := make([]json.RawMessage, len(jobs))
+	if err := ForEach(len(jobs), cfg.Workers, func(i int) error {
+		raw, err := es.Run(jobs[i])
 		raws[i] = raw
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	solo := make(map[string]float64, len(es.apps))
-	for i := range es.apps {
-		var p soloPayload
-		if err := json.Unmarshal(raws[i], &p); err != nil {
-			return nil, fmt.Errorf("%s payload: %w", keys[i], err)
-		}
-		solo[p.App] = p.IPC
+	solo, err := es.soloBaselines(raws)
+	if err != nil {
+		return nil, err
 	}
-	res := &TwoTierTraceResult{Analytic: ares, TopK: topK}
-	for i := len(es.apps); i < len(keys); i++ {
-		var p traceArmPayload
+	res := &ReplayTwoTierResult{Analytic: ares, TopK: topK}
+	for i := len(es.apps); i < len(jobs); i++ {
+		var p replayArmPayload
 		if err := json.Unmarshal(raws[i], &p); err != nil {
-			return nil, fmt.Errorf("%s payload: %w", keys[i], err)
+			return nil, fmt.Errorf("%s payload: %w", jobs[i].Key, err)
 		}
-		res.Confirmed = append(res.Confirmed, traceRow(p, solo))
+		res.Confirmed = append(res.Confirmed, es.row(p, solo))
 	}
 	return res, nil
 }
 
 // Tables renders the broad analytic table and the exact-confirmation
 // comparison.
-func (r TwoTierTraceResult) Tables() []Table {
+func (r ReplayTwoTierResult) Tables() []Table {
+	study := &replayStudies[r.Analytic.Study]
 	broad := r.Analytic.Table()
 	broad.Title += " [analytic broad pass]"
 	confirm := Table{
 		Title: fmt.Sprintf("Two-tier confirmation: top %d arm(s) re-run exact", r.TopK),
 		Note: "the analytic pass ranks arms by p99 normalized perf; only the leaders pay for the exact tier\n" +
 			"|err| = |analytic - exact| of the p99 floor",
-		Columns: []string{"placer", "p99 analytic", "p99 exact", "p99 |err|", "rej rate analytic", "rej rate exact"},
+		Columns: []string{study.armColumn, "p99 analytic", "p99 exact", "p99 |err|", "rej rate analytic", "rej rate exact"},
 	}
-	byPlacer := make(map[string]TraceSweepRow, len(r.Analytic.Rows))
+	byArm := make(map[string]ReplaySweepRow, len(r.Analytic.Rows))
 	for _, row := range r.Analytic.Rows {
-		byPlacer[row.Placer] = row
+		byArm[study.metricRow(row).Arm] = row
 	}
 	for _, row := range r.Confirmed {
-		a := byPlacer[row.Placer]
-		confirm.AddRow(row.Placer, a.P99, row.P99, math.Abs(a.P99-row.P99),
+		arm := study.metricRow(row).Arm
+		a := byArm[arm]
+		confirm.AddRow(arm, a.P99, row.P99, math.Abs(a.P99-row.P99),
 			fmt.Sprintf("%.1f%%", 100*a.RejectionRate),
 			fmt.Sprintf("%.1f%%", 100*row.RejectionRate))
 	}

@@ -10,7 +10,7 @@ import (
 // the confirmation rows must come from the exact tier, and the rendered
 // tables must pair the two.
 func TestTwoTierTraceSweep(t *testing.T) {
-	res, err := TwoTierTraceSweep(GoldenSweepTrace(), GoldenTraceSweepConfig(), 2)
+	res, err := ReplayTwoTier(GoldenSweepTrace(), GoldenTraceSweepConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestTwoTierTraceSweep(t *testing.T) {
 		t.Fatalf("broad pass rows = %d, want all 3 placers", len(res.Analytic.Rows))
 	}
 	// Confirmation order follows the analytic p99 ranking (best first).
-	byPlacer := map[string]TraceSweepRow{}
+	byPlacer := map[string]ReplaySweepRow{}
 	for _, row := range res.Analytic.Rows {
 		byPlacer[row.Placer] = row
 	}
@@ -56,14 +56,14 @@ func TestTwoTierTraceSweep(t *testing.T) {
 // DefaultConfirmTopK, and a request beyond the arm count confirms
 // everything rather than failing.
 func TestTwoTierTopKDefaultsAndClamps(t *testing.T) {
-	res, err := TwoTierTraceSweep(GoldenSweepTrace(), GoldenTraceSweepConfig(), 0)
+	res, err := ReplayTwoTier(GoldenSweepTrace(), GoldenTraceSweepConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TopK != DefaultConfirmTopK {
 		t.Errorf("TopK = %d, want DefaultConfirmTopK %d", res.TopK, DefaultConfirmTopK)
 	}
-	res, err = TwoTierTraceSweep(GoldenSweepTrace(), GoldenTraceSweepConfig(), 99)
+	res, err = ReplayTwoTier(GoldenSweepTrace(), GoldenTraceSweepConfig(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,7 @@ type MetricRow struct {
 
 // Seedable is a sweep that can be replicated under a different RNG seed
 // and report scalar metrics after merging. Implementations live in
-// internal/experiments (trace sweep, migration sweep, Figure 4, the
-// ablations).
+// internal/experiments (the replay sweeps, Figure 4, the ablations).
 type Seedable interface {
 	Sweep
 	// Reseed returns an independent copy of this sweep configured to run

@@ -1,8 +1,7 @@
 package kyoto
 
 // The shardable sweep facade: every multi-configuration experiment in
-// the harness (trace sweep, migration sweep, the Figure 4 matrix, the
-// ablations) is planned as a list of deterministic jobs that external
+// the harness (the replay sweeps, the Figure 4 matrix, the ablations) is planned as a list of deterministic jobs that external
 // drivers — cron jobs, CI matrices, a handful of machines pointed at the
 // same repository — can execute shard by shard and merge bit-identically
 // to an unsharded run. See internal/sweep/README.md for the job model
@@ -24,8 +23,8 @@ import (
 type (
 	// Sweep is a shardable experiment: a deterministic plan of
 	// independent jobs plus a merge folding their payloads into the
-	// final result. Obtain one from NewTraceSweeper, NewMigrationSweeper
-	// or the experiment constructors in internal/experiments.
+	// final result. Obtain one from NewReplaySweeper or the experiment
+	// constructors in internal/experiments.
 	Sweep = sweep.Sweep
 	// SweepJob is one deterministic unit of a sweep's plan.
 	SweepJob = sweep.Job
@@ -34,13 +33,10 @@ type (
 	// ShardEnvelope is the canonical JSON result of one shard of a
 	// sweep — the unit that crosses process and machine boundaries.
 	ShardEnvelope = sweep.Envelope
-	// TraceSweeper is the shardable form of SweepTrace.
-	TraceSweeper = experiments.TraceSweeper
-	// MigrationSweeper is the shardable form of SweepMigrations.
-	MigrationSweeper = experiments.MigrationSweeper
+	// ReplaySweeper is the shardable form of ReplaySweep.
+	ReplaySweeper = experiments.ReplaySweeper
 	// SeedableSweep is a sweep that can be replicated under different RNG
-	// seeds and report scalar metrics; TraceSweeper and MigrationSweeper
-	// implement it.
+	// seeds and report scalar metrics; ReplaySweeper implements it.
 	SeedableSweep = sweep.Seedable
 	// SeedSweeper replicates a SeedableSweep across consecutive seeds and
 	// aggregates its metrics into distributions with confidence
@@ -61,24 +57,16 @@ type (
 	SweepTable = experiments.Table
 )
 
-// NewTraceSweeper returns the three-placer trace sweep as a shardable
-// Sweep; after merging, its Result method returns the TraceSweepResult
-// that SweepTrace would have produced.
-func NewTraceSweeper(tr Trace, cfg TraceSweepConfig) (*TraceSweeper, error) {
-	return experiments.NewTraceSweeper(tr, cfg)
+// NewReplaySweeper returns the replay sweep of cfg.Study as a shardable
+// Sweep; after merging, its Result method returns the ReplaySweepResult
+// that ReplaySweep would have produced.
+func NewReplaySweeper(tr Trace, cfg ReplaySweepConfig) (*ReplaySweeper, error) {
+	return experiments.NewReplaySweeper(tr, cfg)
 }
 
-// NewMigrationSweeper returns the rebalancer x placer migration sweep as
-// a shardable Sweep; after merging, its Result method returns the
-// MigrationSweepResult that SweepMigrations would have produced.
-func NewMigrationSweeper(tr Trace, cfg MigrationSweepConfig) (*MigrationSweeper, error) {
-	return experiments.NewMigrationSweeper(tr, cfg)
-}
-
-// NewSeedSweeper wraps a seedable sweep (NewTraceSweeper,
-// NewMigrationSweeper) in a seed sweep: replication i of cfg.Seeds runs
-// the whole inner sweep under seed cfg.BaseSeed+i, and the merged
-// result reports each metric's across-seed mean, percentiles and
+// NewSeedSweeper wraps a seedable sweep (NewReplaySweeper) in a seed
+// sweep: replication i of cfg.Seeds runs the whole inner sweep under
+// seed cfg.BaseSeed+i, and the merged result reports each metric's across-seed mean, percentiles and
 // confidence intervals. Because the seed sweep is itself a Sweep, it
 // shards with RunSweepShard and merges with MergeShards like any other
 // — and the merged statistics are bit-identical for every shard count.
